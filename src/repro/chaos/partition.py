@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.vmachine.replica import replicated
+
 __all__ = [
     "block_owners",
     "cyclic_owners",
@@ -67,6 +69,13 @@ def rcb_owners(
             raise ValueError("weights must have one entry per point")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
+    # Every rank partitions the same points: build once per run, and give
+    # each caller its own writable copy.
+    return replicated(_rcb, coords, w, nprocs=nprocs).copy()
+
+
+def _rcb(coords: np.ndarray, w: np.ndarray, *, nprocs: int) -> np.ndarray:
+    n = len(coords)
     owners = np.zeros(n, dtype=np.int64)
 
     def split(index: np.ndarray, first: int, parts: int) -> None:

@@ -24,11 +24,24 @@ import numpy as np
 from repro.distrib.irregular import IrregularDist
 from repro.vmachine.comm import Communicator
 from repro.vmachine.process import current_process
+from repro.vmachine.replica import replicated
 
 __all__ = ["TranslationTable", "PagedTranslationTable"]
 
 _TAG_TTABLE_REQ = 1 << 18
 _TAG_TTABLE_REP = (1 << 18) + 1
+
+
+def _frozen_dist(owners: np.ndarray, *, nprocs: int) -> IrregularDist:
+    return IrregularDist(owners.copy(), nprocs).freeze()
+
+
+def _shared_dist(owners: np.ndarray, nprocs: int) -> IrregularDist:
+    """The read-only :class:`IrregularDist` of ``owners``, built once per
+    run and shared by reference between the ranks that ask for it."""
+    return replicated(
+        _frozen_dist, np.asarray(owners, dtype=np.int64), nprocs=nprocs
+    )
 
 
 class TranslationTable:
@@ -40,7 +53,7 @@ class TranslationTable:
     @classmethod
     def from_owners(cls, owners: np.ndarray, nprocs: int) -> "TranslationTable":
         """Build from a per-element owner array (a partitioner's output)."""
-        return cls(IrregularDist(owners, nprocs))
+        return cls(_shared_dist(owners, nprocs))
 
     @classmethod
     def from_distribution(cls, dist, size: int) -> "TranslationTable":
@@ -57,7 +70,7 @@ class TranslationTable:
         proc = current_process()
         proc.charge_deref_regular(size)
         proc.charge_mem(16 * size)
-        return cls(IrregularDist(owners, dist.nprocs))
+        return cls(_shared_dist(owners, dist.nprocs))
 
     @property
     def size(self) -> int:
@@ -103,7 +116,7 @@ class PagedTranslationTable:
         self.nprocs = comm.size
         self._page = -(-self.size // comm.size) if comm.size else self.size
         # Build the full dist once (host-side construction), keep my page.
-        full = IrregularDist(owners, comm.size)
+        full = _shared_dist(owners, comm.size)
         lo = comm.rank * self._page
         hi = min(self.size, lo + self._page)
         gidx = np.arange(lo, hi, dtype=np.int64)

@@ -50,10 +50,19 @@ class IrregularDist(Distribution):
             group_id = np.cumsum(new_group) - 1
             group_starts = starts[group_id]
             self._offsets[order] = within - group_starts
-        # local -> global lookup: for each rank, its global indices ascending
-        self._local_to_global: list[np.ndarray] = [
-            np.flatnonzero(owners == r).astype(np.int64) for r in range(nprocs)
-        ]
+        # local -> global lookup: for each rank, its global indices
+        # ascending — exactly the stable sort's per-owner groups.
+        self._local_to_global: list[np.ndarray] = np.split(
+            order, np.cumsum(self._counts)[:-1]
+        )
+
+    def freeze(self) -> "IrregularDist":
+        """Make every array read-only, so one instance can be shared by
+        reference between ranks; returns ``self``."""
+        for a in (self.owners, self._offsets, self._counts,
+                  *self._local_to_global):
+            a.flags.writeable = False
+        return self
 
     @classmethod
     def from_local_lists(cls, locals_: list[np.ndarray], size: int) -> "IrregularDist":

@@ -53,6 +53,7 @@ from repro.vmachine.faults import (
     tag_class,
 )
 from repro.vmachine.reliability import Reliability, ReliabilityConfig
+from repro.vmachine.replica import ReplicaStore, replicated
 from repro.vmachine.window import Window, RMAHandle, TAG_RMA_BASE, ACCUMULATE_OPS
 
 __all__ = [
@@ -100,6 +101,8 @@ __all__ = [
     "tag_class",
     "Reliability",
     "ReliabilityConfig",
+    "ReplicaStore",
+    "replicated",
     "Window",
     "RMAHandle",
     "TAG_RMA_BASE",

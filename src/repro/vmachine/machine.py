@@ -24,6 +24,7 @@ from repro.vmachine.cost_model import CostModel, IBM_SP2, MachineProfile
 from repro.vmachine.faults import FailureDetector, FaultPlan, RankLostError
 from repro.vmachine.message import Mailbox
 from repro.vmachine.process import Process
+from repro.vmachine.replica import ReplicaStore
 from repro.vmachine.timing import TimingReport, merge_timings
 
 __all__ = ["VirtualMachine", "SPMDResult", "RankError", "SPMDError"]
@@ -235,7 +236,9 @@ class VirtualMachine:
         router: dict[int, Mailbox] = {}
         detector = FailureDetector()
         processes = [Process(r, self.nprocs, self.cost_model) for r in range(self.nprocs)]
+        replicas = ReplicaStore()
         for p in processes:
+            p.replicas = replicas
             router[p.rank] = p.mailbox
             detector.register(p.mailbox)
             self._configure(p)

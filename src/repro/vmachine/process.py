@@ -100,6 +100,9 @@ class Process:
         #: pooled pack/unpack staging buffers (counters mirror into
         #: ``self.metrics``; see :class:`~repro.vmachine.message.PackArena`)
         self.arena = PackArena(self.metrics)
+        #: run-scoped ReplicaStore shared by every rank of the run (None
+        #: = no sharing; see :func:`~repro.vmachine.replica.replicated`)
+        self.replicas = None
 
     # -- observability -----------------------------------------------------
 

@@ -28,6 +28,7 @@ from repro.vmachine.machine import (
 )
 from repro.vmachine.message import Mailbox
 from repro.vmachine.process import Process
+from repro.vmachine.replica import ReplicaStore
 
 __all__ = ["ProgramSpec", "ProgramContext", "CoupledResult", "run_programs"]
 
@@ -149,7 +150,9 @@ def run_programs(
         from repro.replay.recorder import Recorder
 
         recorder = Recorder()
+    replicas = ReplicaStore()
     for p in processes:
+        p.replicas = replicas
         detector.register(p.mailbox)
         if recv_timeout_s is not None:
             p.recv_timeout_s = recv_timeout_s

@@ -358,13 +358,16 @@ class Reliability:
         with last-ack diagnostics when a peer stops acknowledging.
         """
         cfg = self.config
+        # Release held data on *every* channel before the first blocking
+        # ack receive: releasing one channel at a time lets two ranks each
+        # wait for an ack whose data the other still holds.
+        self.flush()
         for ch in self._out.values():
             endpoint = ch.endpoint
             proc = endpoint.process
             if ch.acked >= ch.next_seq - 1:
                 self._drain_acks(endpoint, ch.peer, ch.tag, ch)
                 continue
-            endpoint._flush_held(endpoint.peer_global(ch.peer))
             budget = (
                 timeout
                 if timeout is not None

@@ -106,3 +106,35 @@ class TestPagedTable:
             return paged.local_size(comm.rank) == expected
 
         assert all(run_spmd(4, spmd).values)
+
+
+def test_table2_chaos_over_regular_mesh_clocks_pinned(monkeypatch):
+    """Paper Table 2's "Chaos alone" path wraps the regular mesh in a
+    pointwise table (``from_distribution``) on every rank.  Building the
+    owner map once per run must leave every rank's clock where the
+    per-rank construction put it."""
+    import repro.apps.coupled as coupled
+    from repro.apps.meshes import delaunay_mesh, full_remap_mapping
+    from repro.vmachine import VirtualMachine
+
+    runs = []
+
+    class Recording(VirtualMachine):
+        def run(self, fn, *args, **kwargs):
+            runs.append(super().run(fn, *args, **kwargs))
+            return runs[-1]
+
+    monkeypatch.setattr(coupled, "VirtualMachine", Recording)
+    timings = coupled.run_coupled_single_program(
+        4, (12, 12), delaunay_mesh(144, seed=3),
+        full_remap_mapping((12, 12), 144, seed=5),
+        timesteps=1, remap="chaos",
+    )
+    assert runs[0].clocks == [
+        0.006193540214285716,
+        0.006263558214285716,
+        0.006263558214285716,
+        0.0063335762142857155,
+    ]
+    assert timings.sched_ms == 2.1168491428571437
+    assert timings.total_messages == 89

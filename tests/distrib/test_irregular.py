@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.distrib.irregular import IrregularDist
@@ -104,3 +104,32 @@ def test_property_irregular_is_partition(owners):
 def test_property_descriptor_roundtrip(owners):
     d = IrregularDist(np.array(owners, dtype=np.int64), 3)
     assert d.descriptor().materialize() == d
+
+
+class TestLocalToGlobal:
+    """The per-rank local→global lists are the stable sort's owner groups."""
+
+    @given(
+        n=st.integers(0, 60),
+        nprocs=st.integers(1, 80),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=3, nprocs=8, seed=0)  # P > N: some ranks are always empty
+    @example(n=0, nprocs=2, seed=0)
+    def test_matches_per_rank_scan(self, n, nprocs, seed):
+        # nprocs ranges past n, so P > N and empty ranks are both drawn.
+        owners = np.random.default_rng(seed).integers(0, nprocs, size=n)
+        d = IrregularDist(owners, nprocs)
+        assert len(d._local_to_global) == nprocs
+        for r in range(nprocs):
+            expected = np.flatnonzero(owners == r).astype(np.int64)
+            got = d._local_to_global[r]
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+
+    def test_freeze_makes_every_array_read_only(self):
+        d = IrregularDist(np.array([1, 0, 1]), 2).freeze()
+        for a in (d.owners, d._offsets, d._counts, *d._local_to_global):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            d.owners[0] = 0
